@@ -46,7 +46,7 @@ func TestStreamDeterministic(t *testing.T) {
 func TestStreamShape(t *testing.T) {
 	for _, s := range specs {
 		setup, timed := s.stream(3, 2000)
-		if len(setup) != keys+s.warmup || len(timed) != 2000 {
+		if len(setup) != keys || len(timed) != 2000 {
 			t.Fatalf("%s: %d setup and %d timed ops", s.name, len(setup), len(timed))
 		}
 		for _, op := range append(setup, timed...) {
@@ -81,15 +81,15 @@ func TestStreamShape(t *testing.T) {
 	}
 }
 
-// TestTailSamples pins that at the default 20 s a run's p99 has at least
-// ten samples beyond it.
+// TestTailSamples pins that at the default run length a run's p99 has at
+// least ten samples beyond it.
 func TestTailSamples(t *testing.T) {
 	for _, s := range specs {
-		if n := 20 * s.opsPerSecond / s.sessions * s.sessions; n < 1000 {
+		if n := defaultSeconds * s.opsPerSecond / s.sessions * s.sessions; n < 1000 {
 			t.Errorf("%s: %d timed ops", s.name, n)
 		}
-		if s.setups < s.sessions {
-			t.Errorf("%s: %d set-ups for %d sessions", s.name, s.setups, s.sessions)
+		if setups < s.sessions {
+			t.Errorf("%s: %d set-ups for %d sessions", s.name, setups, s.sessions)
 		}
 	}
 }
@@ -197,8 +197,9 @@ func TestOracleCountsRecreatedKeyApart(t *testing.T) {
 // benchmarkJSON is the part of BENCHMARK.json that kvbench's metrics must
 // agree with.
 type benchmarkJSON struct {
-	Workloads []struct{ Name, Why string }
-	EndToEnd  []struct {
+	RunSeconds int `json:"run_seconds"`
+	Workloads  []struct{ Name, Why string }
+	EndToEnd   []struct {
 		Name, Unit, Better string
 		Bound              float64
 	} `json:"end_to_end"`
@@ -213,6 +214,9 @@ func TestMetricsMatchBenchmarkJSON(t *testing.T) {
 	var bj benchmarkJSON
 	if err := json.Unmarshal(b, &bj); err != nil {
 		t.Fatal(err)
+	}
+	if bj.RunSeconds != defaultSeconds {
+		t.Errorf("BENCHMARK.json run_seconds %d, kvbench default %d", bj.RunSeconds, defaultSeconds)
 	}
 	if len(bj.Workloads) != len(specs) {
 		t.Fatalf("BENCHMARK.json lists %d workloads, kvbench %d", len(bj.Workloads), len(specs))

@@ -7,8 +7,8 @@
 //
 // Usage (from the repository root, after building dsgserve):
 //
-//	kvbench -daemon dsgserve -workload kv-zipf-read -seed 1 -seconds 20 -trace 0
-//	kvbench -daemon dsgserve -workload scan-long -seconds 5 -steady 5
+//	kvbench -daemon dsgserve -workload kv-zipf-read -seed 1 -seconds 35 -trace 0
+//	kvbench -daemon dsgserve -workload crud-sharded-hotrange -seconds 5 -steady 5
 package main
 
 import (
@@ -26,7 +26,7 @@ func main() {
 		daemonBin = flag.String("daemon", ".bench_build/bin/dsgserve", "dsgserve binary to benchmark")
 		workload  = flag.String("workload", "kv-zipf-read", "workload name: "+workloadNames())
 		seed      = flag.Int64("seed", 1, "workload seed: draws the op stream")
-		seconds   = flag.Int("seconds", 20, "timed-phase length in reference seconds; sets the timed op count")
+		seconds   = flag.Int("seconds", defaultSeconds, "timed-phase length in reference seconds; sets the timed op count")
 		trace     = flag.Int("trace", 0, "1 runs the traced in-process replay and prints per-layer metrics")
 		steady    = flag.Int("steady", 0, "k > 0 runs the workload k times (seeds seed..seed+k-1) and prints each metric's quartiles")
 	)
@@ -60,6 +60,9 @@ func main() {
 	}
 	printResult(os.Stdout, res)
 }
+
+// defaultSeconds is BENCHMARK.json's run_seconds.
+const defaultSeconds = 35
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "kvbench:", err)

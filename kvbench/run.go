@@ -78,15 +78,14 @@ type wireRun struct {
 	errs              []string
 	reborn            int // see oracle.reborn
 
-	setupSecs        []float64       // per set-up: launch, load and warm-up
+	setupSecs        []float64       // per set-up: launch and load
 	lat              []time.Duration // every timed op, all sessions
 	wall             time.Duration   // timed phases, Stats samples excluded
-	sessions         []sessionTiming
-	rss              []float64 // per session: the daemon's peak RSS
-	dummies, heights []float64 // topology samples, all sessions
-	requests         int64     // ops served, all sessions
-	distance         float64   // Σ route distance, all sessions
-	rounds           int64     // Σ transform rounds, all sessions
+	rss              []float64       // per session: the daemon's peak RSS
+	dummies, heights []float64       // topology samples, all sessions
+	requests         int64           // ops served, all sessions
+	distance         float64         // Σ route distance, all sessions
+	rounds           int64           // Σ transform rounds, all sessions
 
 	// The first session's stream and outcome, which the traced run replays.
 	setupOps, timed []lsasg.Op
@@ -94,16 +93,16 @@ type wireRun struct {
 	final           lsasg.Stats
 }
 
-// sessionTiming is one session's timed phase as the client saw it.
-type sessionTiming struct {
-	throughput, p50 float64
-}
+// setups is how many set-ups a run times for setup_s: one per session, then
+// set-up-only daemons. A set-up takes milliseconds, so the median is taken
+// over enough of them to ride out the box's drift.
+const setups = 21
 
 // subSeed derives session r's stream seed from the run's seed.
 func subSeed(seed int64, r int) int64 { return seed<<8 | int64(r) }
 
 // setUp launches a daemon and drives it through the set-up phase (launch,
-// load, warm-up), timing it.
+// load), timing it.
 func (w *wireRun) setUp(cfg runConfig, setupOps []lsasg.Op) (*session, error) {
 	t0 := time.Now()
 	ss, err := dial(cfg.bin, cfg.spec)
@@ -128,13 +127,13 @@ func (w *wireRun) absorb(ss *session) {
 // driveWire runs the workload's sessions one after another. Each session is
 // a fresh daemon driven through the set-up phase and then its share of the
 // timed ops. Set-up-only daemons follow until the run has timed
-// cfg.spec.setups set-ups. The traced run drives the first session only.
+// setups set-ups. The traced run drives the first session only.
 func driveWire(cfg runConfig, seed int64) (*wireRun, error) {
 	w := &wireRun{}
 	per := cfg.seconds * cfg.spec.opsPerSecond / cfg.spec.sessions
-	sessions, setups := cfg.spec.sessions, cfg.spec.setups
+	sessions, nSetups := cfg.spec.sessions, setups
 	if cfg.traced {
-		sessions, setups = 1, 1
+		sessions, nSetups = 1, 1
 	}
 	for r := 0; r < sessions; r++ {
 		setupOps, timed := cfg.spec.stream(subSeed(seed, r), per)
@@ -159,10 +158,6 @@ func driveWire(cfg runConfig, seed int64) (*wireRun, error) {
 			}
 		}
 		wall += time.Since(t0)
-		w.sessions = append(w.sessions, sessionTiming{
-			throughput: float64(len(lat)) / wall.Seconds(),
-			p50:        ms(quantile(sortedCopy(lat), 0.50)),
-		})
 		w.wall += wall
 		cum, rss, err := ss.finish()
 		if err != nil {
@@ -184,7 +179,7 @@ func driveWire(cfg runConfig, seed int64) (*wireRun, error) {
 			w.setupOps, w.timed, w.cuts, w.final = setupOps, timed, cuts, cum
 		}
 	}
-	for r := sessions; r < setups; r++ {
+	for r := sessions; r < nSetups; r++ {
 		setupOps, _ := cfg.spec.stream(subSeed(seed, r), 0)
 		ss, err := w.setUp(cfg, setupOps)
 		if err != nil {
@@ -237,19 +232,16 @@ func run(cfg runConfig, seed int64) (result, error) {
 	return res, nil
 }
 
-// endToEndValues folds a run into its end-to-end metrics. Throughput and
-// p50 are medians over the sessions, so a burst of contention on the box
-// spoils a session, not the run; the p99 needs the pooled timed ops to
-// keep ten samples beyond it.
+// endToEndValues folds a run into its end-to-end metrics. The timings pool
+// every timed op of every session: the box's speed drifts over seconds, so
+// the whole timed phase averages over more of that drift than any one
+// session does.
 func endToEndValues(w *wireRun) map[string]float64 {
-	var tput, p50 []float64
-	for _, t := range w.sessions {
-		tput, p50 = append(tput, t.throughput), append(p50, t.p50)
-	}
+	sorted := sortedCopy(w.lat)
 	return map[string]float64{
-		"throughput_ops_s":        median(tput),
-		"lat_p50_ms":              median(p50),
-		"lat_p99_ms":              ms(quantile(sortedCopy(w.lat), 0.99)),
+		"throughput_ops_s":        float64(len(w.lat)) / w.wall.Seconds(),
+		"lat_p50_ms":              ms(quantile(sorted, 0.50)),
+		"lat_p99_ms":              ms(quantile(sorted, 0.99)),
 		"setup_s":                 median(w.setupSecs),
 		"server_rss_mb":           median(w.rss),
 		"route_distance_mean":     w.distance / float64(w.requests),

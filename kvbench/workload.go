@@ -18,8 +18,6 @@ type spec struct {
 	why  string
 	// shards > 1 starts the daemon sharded (-shards).
 	shards int
-	// warmup is the number of Zipf gets after the load phase.
-	warmup int
 	// opsPerSecond converts --seconds into the run's timed op count, which
 	// is split evenly over the run's sessions.
 	opsPerSecond int
@@ -27,10 +25,6 @@ type spec struct {
 	// another; pooling their timed phases averages over several topology
 	// trajectories.
 	sessions int
-	// setups is how many set-ups a run times for setup_s: one per session,
-	// plus set-up-only daemons where a set-up is cheap, so the median of a
-	// millisecond-scale launch is taken over enough samples.
-	setups int
 	// sampleEvery > 0 reads the daemon's topology size every sampleEvery
 	// timed ops, so dummy_nodes and height are means over the timed phase
 	// rather than one sample of a population that swings by a factor of
@@ -44,20 +38,10 @@ var specs = []spec{
 	{
 		name:         "kv-zipf-read",
 		why:          "YCSB-B gets and updates over Zipf keys: every op runs the transformation, so core dominates",
-		opsPerSecond: 60,
-		sessions:     3,
-		setups:       9,
+		opsPerSecond: 100,
+		sessions:     4,
 		sampleEvery:  50,
 		timed:        (*gen).zipfReads,
-	},
-	{
-		name:         "scan-long",
-		why:          "1-64 entry scans on a warm graph: no op adjusts, so wire, snapshot and working-set costs show",
-		warmup:       200,
-		opsPerSecond: 1500,
-		sessions:     5,
-		setups:       5,
-		timed:        (*gen).longScans,
 	},
 	{
 		name:         "crud-sharded-hotrange",
@@ -65,7 +49,6 @@ var specs = []spec{
 		shards:       4,
 		opsPerSecond: 450,
 		sessions:     12,
-		setups:       12,
 		sampleEvery:  100,
 		timed:        (*gen).crudHotRange,
 	},
@@ -82,9 +65,8 @@ func specByName(name string) (spec, error) {
 
 // Mix parameters, named so the README and the tests can point at them.
 const (
-	zipfS       = 1.2  // Zipf exponent of kv-zipf-read and the scan-long warm-up
+	zipfS       = 1.2  // Zipf exponent of kv-zipf-read
 	updateShare = 0.05 // YCSB-B write share
-	maxScan     = 64   // scan-long limits are uniform in [1, maxScan]
 	hotShare    = 0.9  // HotRange: share of draws inside [0, keys/8)
 	hotKeys     = keys / 8
 	crudMaxScan = 16 // crud-sharded-hotrange scan limits are uniform in [1, crudMaxScan]
@@ -126,22 +108,11 @@ func newGen(seed int64) *gen {
 	return g
 }
 
-// warmupSeed draws the warm-up: a fixed trace, so every run scans the same
-// warm graph — a fixture, as a pre-warmed graph would be — and the run's
-// seed draws only the loaded values and the timed ops.
-const warmupSeed = 0x77
-
 // stream draws the whole op stream of one session: the load phase (a value
-// on every key), the warm-up and the timed phase.
+// on every key) and the timed phase.
 func (s spec) stream(seed int64, timed int) (setup, run []lsasg.Op) {
 	g := newGen(seed)
-	setup = g.load()
-	w := newGen(warmupSeed)
-	for i := 0; i < s.warmup; i++ {
-		src, key := w.zipfPair()
-		setup = append(setup, lsasg.GetOp(src, key))
-	}
-	return setup, s.timed(g, timed)
+	return g.load(), s.timed(g, timed)
 }
 
 // value draws a 16..20-byte payload that names its key and write serial.
@@ -187,14 +158,6 @@ func (g *gen) zipfReads(m int) []lsasg.Op {
 		} else {
 			ops[i] = lsasg.GetOp(src, key)
 		}
-	}
-	return ops
-}
-
-func (g *gen) longScans(m int) []lsasg.Op {
-	ops := make([]lsasg.Op, m)
-	for i := range ops {
-		ops[i] = lsasg.ScanOp(g.rng.Intn(keys), g.rng.Intn(keys), 1+g.rng.Intn(maxScan))
 	}
 	return ops
 }
