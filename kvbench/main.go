@@ -7,7 +7,7 @@
 //
 // Usage (from the repository root, after building dsgserve):
 //
-//	kvbench -daemon dsgserve -workload kv-zipf-read -seed 1 -seconds 35 -trace 0
+//	kvbench -daemon dsgserve -workload kv-zipf-read -seed 1 -seconds 25 -trace 0
 //	kvbench -daemon dsgserve -workload crud-sharded-hotrange -seconds 5 -steady 5
 package main
 
@@ -62,7 +62,7 @@ func main() {
 }
 
 // defaultSeconds is BENCHMARK.json's run_seconds.
-const defaultSeconds = 35
+const defaultSeconds = 25
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "kvbench:", err)
